@@ -125,15 +125,7 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := reg.Invoker.Invoke(ctx, "get", nil)
-		if err != nil {
-			return nil, err
-		}
-		mp, ok := res.(*Map)
-		if !ok {
-			return nil, fmt.Errorf("cluster: map service returned %T", res)
-		}
-		return mp, nil
+		return core.Call[*Map](ctx, reg.Invoker, "get", nil)
 	})
 	return c, nil
 }

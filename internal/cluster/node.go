@@ -390,17 +390,7 @@ func (n *Node) invokeApply(f NodeID, req *ApplyReq) (ApplyReply, error) {
 	//lint:ignore ctxflow the ship daemon has no request context; the timeout bounds the RPC
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	res, err := n.transport.Invoke(ctx, f, ReplServiceName, "apply", req)
-	if err != nil {
-		return ApplyReply{}, err
-	}
-	switch r := res.(type) {
-	case ApplyReply:
-		return r, nil
-	case *ApplyReply:
-		return *r, nil
-	}
-	return ApplyReply{}, fmt.Errorf("cluster: unexpected apply reply %T", res)
+	return core.Call[ApplyReply](ctx, serviceAt{n.transport, f, ReplServiceName}, "apply", req)
 }
 
 // bootstrapFollower sends a full-state snapshot: frontier sample, then
@@ -517,104 +507,43 @@ func (n *Node) Close(ctx context.Context) error {
 // --- services -----------------------------------------------------------
 
 func (n *Node) registerServices() {
-	kv := core.NewService(KVServiceName, &core.Contract{
-		Interface: IfaceShardKV,
-		Operations: []core.OpSpec{
-			{Name: "put", In: "cluster.PutReq", Out: "bool", Semantic: "kv.put"},
-			{Name: "putBatch", In: "cluster.BatchReq", Out: "bool", Semantic: "kv.putBatch"},
-			{Name: "import", In: "cluster.BatchReq", Out: "bool", Semantic: "kv.import"},
-			{Name: "get", In: "cluster.GetReq", Out: "[]byte", Semantic: "kv.get"},
-			{Name: "delete", In: "cluster.GetReq", Out: "bool", Semantic: "kv.delete"},
-			{Name: "scanKeys", In: "cluster.ScanReq", Out: "[]string", Semantic: "kv.scanKeys"},
-			{Name: "len", In: "cluster.LenReq", Out: "uint64", Semantic: "kv.len"},
-			{Name: "getSnapshot", In: "cluster.GetReq", Out: "[]byte", Semantic: "kv.getSnapshot"},
-			{Name: "scanSnapshot", In: "cluster.ScanReq", Out: "[]string", Semantic: "kv.scanKeysSnapshot"},
-		},
-		Description: core.Description{Summary: "epoch-guarded shard KV operations"},
-	})
-	kv.Handle("put", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(PutReq)
-		if !ok {
-			if p, okp := req.(*PutReq); okp {
-				r = *p
-			} else {
-				return nil, &core.RequestError{Op: "put", Want: "cluster request", Got: core.TypeName(req)}
-			}
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return true, n.withWriteGate(func() error { return n.DB().PutContext(ctx, r.Key, r.Val) })
-	})
-	kv.Handle("putBatch", func(ctx context.Context, req any) (any, error) {
-		r, err := n.batchReq(req, "putBatch")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return true, n.withWriteGate(func() error { return n.DB().PutBatchContext(ctx, r.Keys, r.Vals) })
-	})
-	kv.Handle("import", func(ctx context.Context, req any) (any, error) {
-		r, err := n.batchReq(req, "import")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return true, n.withWriteGate(func() error { return n.DB().ImportContext(ctx, r.Keys, r.Vals) })
-	})
-	kv.Handle("get", func(ctx context.Context, req any) (any, error) {
-		r, err := n.getReq(req, "get")
-		if err != nil {
-			return nil, err
-		}
+	// The shard KV contract is the KV op table (names, replies and
+	// semantic tags of sbdms.KVContract) with each request wrapped in
+	// its epoch-carrying envelope.
+	kv := core.NewService(KVServiceName, sbdms.EnvelopedKVContract(IfaceShardKV, "epoch-guarded shard KV operations",
+		map[string]string{
+			"string":                "cluster.GetReq",
+			"sbdms.KVPutRequest":    "cluster.PutReq",
+			"sbdms.KVBatchRequest":  "cluster.BatchReq",
+			"sbdms.KVImportRequest": "cluster.BatchReq",
+			"sbdms.KVScanRequest":   "cluster.ScanReq",
+			"nil":                   "cluster.LenReq",
+		}))
+	core.Handle(kv, "get", func(ctx context.Context, r GetReq) ([]byte, error) {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
 		return n.DB().GetContext(ctx, r.Key)
 	})
-	kv.Handle("delete", func(ctx context.Context, req any) (any, error) {
-		r, err := n.getReq(req, "delete")
-		if err != nil {
-			return nil, err
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return true, n.withWriteGate(func() error { return n.DB().DeleteKeyContext(ctx, r.Key) })
+	core.Handle(kv, "put", func(ctx context.Context, r PutReq) (bool, error) {
+		return true, n.write(r.Epoch, func() error { return n.DB().PutContext(ctx, r.Key, r.Val) })
 	})
-	kv.Handle("scanKeys", func(ctx context.Context, req any) (any, error) {
-		r, err := n.scanReq(req, "scanKeys")
-		if err != nil {
-			return nil, err
-		}
+	core.Handle(kv, "putBatch", func(ctx context.Context, r BatchReq) (bool, error) {
+		return true, n.write(r.Epoch, func() error { return n.DB().PutBatchContext(ctx, r.Keys, r.Vals) })
+	})
+	core.Handle(kv, "import", func(ctx context.Context, r BatchReq) (bool, error) {
+		return true, n.write(r.Epoch, func() error { return n.DB().ImportContext(ctx, r.Keys, r.Vals) })
+	})
+	core.Handle(kv, "delete", func(ctx context.Context, r GetReq) (bool, error) {
+		return true, n.write(r.Epoch, func() error { return n.DB().DeleteKeyContext(ctx, r.Key) })
+	})
+	core.Handle(kv, "scan", func(ctx context.Context, r ScanReq) ([]string, error) {
 		if err := n.guardWrite(r.Epoch); err != nil {
 			return nil, err
 		}
 		return n.DB().ScanKeysContext(ctx, r.From, r.N)
 	})
-	kv.Handle("len", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(LenReq)
-		if !ok {
-			if p, okp := req.(*LenReq); okp {
-				r = *p
-			} else {
-				return nil, &core.RequestError{Op: "len", Want: "cluster request", Got: core.TypeName(req)}
-			}
-		}
-		if err := n.guardWrite(r.Epoch); err != nil {
-			return nil, err
-		}
-		return n.DB().KVLen(), nil
-	})
-	kv.Handle("getSnapshot", func(ctx context.Context, req any) (any, error) {
-		r, err := n.getReq(req, "getSnapshot")
-		if err != nil {
-			return nil, err
-		}
+	core.Handle(kv, "getSnapshot", func(ctx context.Context, r GetReq) ([]byte, error) {
 		if err := n.checkEpoch(r.Epoch); err != nil {
 			return nil, err
 		}
@@ -626,11 +555,7 @@ func (n *Node) registerServices() {
 		}
 		return nil, fmt.Errorf("%w: node %s holds no state", ErrNotLeader, n.cfg.ID)
 	})
-	kv.Handle("scanSnapshot", func(ctx context.Context, req any) (any, error) {
-		r, err := n.scanReq(req, "scanSnapshot")
-		if err != nil {
-			return nil, err
-		}
+	core.Handle(kv, "scanSnapshot", func(ctx context.Context, r ScanReq) ([]string, error) {
 		if err := n.checkEpoch(r.Epoch); err != nil {
 			return nil, err
 		}
@@ -642,6 +567,12 @@ func (n *Node) registerServices() {
 		}
 		return nil, fmt.Errorf("%w: node %s holds no state", ErrNotLeader, n.cfg.ID)
 	})
+	core.Handle(kv, "len", func(ctx context.Context, r LenReq) (uint64, error) {
+		if err := n.guardWrite(r.Epoch); err != nil {
+			return 0, err
+		}
+		return n.DB().KVLen(), nil
+	})
 
 	repl := core.NewService(ReplServiceName, &core.Contract{
 		Interface: IfaceRepl,
@@ -651,27 +582,11 @@ func (n *Node) registerServices() {
 		},
 		Description: core.Description{Summary: "WAL shipping apply and full-state bootstrap"},
 	})
-	repl.Handle("apply", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(*ApplyReq)
-		if !ok {
-			if v, okv := req.(ApplyReq); okv {
-				r = &v
-			} else {
-				return nil, &core.RequestError{Op: "apply", Want: "cluster request", Got: core.TypeName(req)}
-			}
-		}
-		return n.handleApply(r)
+	core.Handle(repl, "apply", func(ctx context.Context, r ApplyReq) (ApplyReply, error) {
+		return n.handleApply(&r)
 	})
-	repl.Handle("seed", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(*SeedReq)
-		if !ok {
-			if v, okv := req.(SeedReq); okv {
-				r = &v
-			} else {
-				return nil, &core.RequestError{Op: "seed", Want: "cluster request", Got: core.TypeName(req)}
-			}
-		}
-		return true, n.handleSeed(r)
+	core.Handle(repl, "seed", func(ctx context.Context, r SeedReq) (bool, error) {
+		return true, n.handleSeed(&r)
 	})
 
 	for _, svc := range []*core.BaseService{kv, repl} {
@@ -685,36 +600,6 @@ func (n *Node) registerServices() {
 	}
 }
 
-func (n *Node) batchReq(req any, op string) (BatchReq, error) {
-	switch r := req.(type) {
-	case BatchReq:
-		return r, nil
-	case *BatchReq:
-		return *r, nil
-	}
-	return BatchReq{}, &core.RequestError{Op: op, Want: "cluster request", Got: core.TypeName(req)}
-}
-
-func (n *Node) getReq(req any, op string) (GetReq, error) {
-	switch r := req.(type) {
-	case GetReq:
-		return r, nil
-	case *GetReq:
-		return *r, nil
-	}
-	return GetReq{}, &core.RequestError{Op: op, Want: "cluster request", Got: core.TypeName(req)}
-}
-
-func (n *Node) scanReq(req any, op string) (ScanReq, error) {
-	switch r := req.(type) {
-	case ScanReq:
-		return r, nil
-	case *ScanReq:
-		return *r, nil
-	}
-	return ScanReq{}, &core.RequestError{Op: op, Want: "cluster request", Got: core.TypeName(req)}
-}
-
 func (n *Node) checkEpoch(e uint64) error {
 	if cur := n.epoch.Load(); e != cur {
 		return fmt.Errorf("%w (node at %d, request planned at %d)", ErrEpochChanged, cur, e)
@@ -722,9 +607,12 @@ func (n *Node) checkEpoch(e uint64) error {
 	return nil
 }
 
-// withWriteGate runs one client mutation under the shared side of the
-// bootstrap write gate (see Node.wmu).
-func (n *Node) withWriteGate(fn func() error) error {
+// write runs one client mutation planned at epoch e: leader-only, and
+// under the shared side of the bootstrap write gate (see Node.wmu).
+func (n *Node) write(e uint64, fn func() error) error {
+	if err := n.guardWrite(e); err != nil {
+		return err
+	}
 	n.wmu.RLock()
 	defer n.wmu.RUnlock()
 	return fn()

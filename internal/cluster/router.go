@@ -9,6 +9,7 @@ import (
 	"time"
 
 	sbdms "repro"
+	"repro/internal/core"
 )
 
 // Router is the client side of the cluster: it fetches the shard map
@@ -91,9 +92,7 @@ func (r *Router) withReplan(ctx context.Context, fn func(m *Map) error) error {
 // Put writes one key through its shard leader.
 func (r *Router) Put(ctx context.Context, key string, val []byte) error {
 	return r.withReplan(ctx, func(m *Map) error {
-		s := m.Shards[m.ShardFor(key)]
-		_, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "put",
-			PutReq{Epoch: m.Epoch, Key: key, Val: val})
+		_, err := r.kv(m.Shards[m.ShardFor(key)].Leader).Invoke(ctx, "put", PutReq{Epoch: m.Epoch, Key: key, Val: val})
 		return err
 	})
 }
@@ -101,9 +100,7 @@ func (r *Router) Put(ctx context.Context, key string, val []byte) error {
 // Delete removes one key through its shard leader.
 func (r *Router) Delete(ctx context.Context, key string) error {
 	return r.withReplan(ctx, func(m *Map) error {
-		s := m.Shards[m.ShardFor(key)]
-		_, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "delete",
-			GetReq{Epoch: m.Epoch, Key: key})
+		_, err := r.kv(m.Shards[m.ShardFor(key)].Leader).Invoke(ctx, "delete", GetReq{Epoch: m.Epoch, Key: key})
 		return mapNotFound(err)
 	})
 }
@@ -111,15 +108,9 @@ func (r *Router) Delete(ctx context.Context, key string) error {
 // Get reads one key's latest committed value from its shard leader.
 func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
 	var out []byte
-	err := r.withReplan(ctx, func(m *Map) error {
-		s := m.Shards[m.ShardFor(key)]
-		res, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "get",
-			GetReq{Epoch: m.Epoch, Key: key})
-		if err != nil {
-			return mapNotFound(err)
-		}
-		out = asBytes(res)
-		return nil
+	err := r.withReplan(ctx, func(m *Map) (err error) {
+		out, err = core.Call[[]byte](ctx, r.kv(m.Shards[m.ShardFor(key)].Leader), "get", GetReq{Epoch: m.Epoch, Key: key})
+		return mapNotFound(err)
 	})
 	return out, err
 }
@@ -129,28 +120,36 @@ func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
 // leader's snapshot path.
 func (r *Router) GetSnapshot(ctx context.Context, key string) ([]byte, error) {
 	var out []byte
-	err := r.withReplan(ctx, func(m *Map) error {
+	err := r.withReplan(ctx, func(m *Map) (err error) {
 		s := m.Shards[m.ShardFor(key)]
-		res, err := r.snapshotInvoke(ctx, s, "getSnapshot", GetReq{Epoch: m.Epoch, Key: key})
-		if err != nil {
-			return mapNotFound(err)
-		}
-		out = asBytes(res)
-		return nil
+		out, err = core.Call[[]byte](ctx, followerFirst{r.transport, s}, "getSnapshot", GetReq{Epoch: m.Epoch, Key: key})
+		return mapNotFound(err)
 	})
 	return out, err
 }
 
-// snapshotInvoke tries the shard's first follower, then the leader.
-func (r *Router) snapshotInvoke(ctx context.Context, s Shard, op string, req any) (any, error) {
+// kv addresses the shard KV service on node.
+func (r *Router) kv(node NodeID) core.Invoker {
+	return serviceAt{r.transport, node, KVServiceName}
+}
+
+// followerFirst addresses a shard's KV service at its first follower,
+// falling back to the leader.
+type followerFirst struct {
+	t Transport
+	s Shard
+}
+
+// Invoke implements core.Invoker.
+func (f followerFirst) Invoke(ctx context.Context, op string, req any) (any, error) {
 	targets := make([]NodeID, 0, 2)
-	if len(s.Followers) > 0 {
-		targets = append(targets, s.Followers[0])
+	if len(f.s.Followers) > 0 {
+		targets = append(targets, f.s.Followers[0])
 	}
-	targets = append(targets, s.Leader)
+	targets = append(targets, f.s.Leader)
 	var lastErr error
 	for _, t := range targets {
-		res, err := r.transport.Invoke(ctx, t, KVServiceName, op, req)
+		res, err := f.t.Invoke(ctx, t, KVServiceName, op, req)
 		if err == nil {
 			return res, nil
 		}
@@ -201,7 +200,7 @@ func (r *Router) groupedWrite(ctx context.Context, op string, keys []string, val
 		}
 		sort.Ints(sids)
 		for _, sid := range sids {
-			if _, err := r.transport.Invoke(ctx, m.Shards[sid].Leader, KVServiceName, op, *groups[sid]); err != nil {
+			if _, err := r.kv(m.Shards[sid].Leader).Invoke(ctx, op, *groups[sid]); err != nil {
 				return err
 			}
 		}
@@ -216,12 +215,12 @@ func (r *Router) ScanKeys(ctx context.Context, from string, n int) ([]string, er
 	err := r.withReplan(ctx, func(m *Map) error {
 		per := make([][]string, 0, len(m.Shards))
 		for _, s := range m.Shards {
-			res, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "scanKeys",
+			keys, err := core.Call[[]string](ctx, r.kv(s.Leader), "scan",
 				ScanReq{Epoch: m.Epoch, From: from, N: n})
 			if err != nil {
 				return err
 			}
-			per = append(per, asStrings(res))
+			per = append(per, keys)
 		}
 		out = mergeSorted(per, n)
 		return nil
@@ -236,11 +235,12 @@ func (r *Router) ScanKeysSnapshot(ctx context.Context, from string, n int) ([]st
 	err := r.withReplan(ctx, func(m *Map) error {
 		per := make([][]string, 0, len(m.Shards))
 		for _, s := range m.Shards {
-			res, err := r.snapshotInvoke(ctx, s, "scanSnapshot", ScanReq{Epoch: m.Epoch, From: from, N: n})
+			keys, err := core.Call[[]string](ctx, followerFirst{r.transport, s}, "scanSnapshot",
+				ScanReq{Epoch: m.Epoch, From: from, N: n})
 			if err != nil {
 				return err
 			}
-			per = append(per, asStrings(res))
+			per = append(per, keys)
 		}
 		out = mergeSorted(per, n)
 		return nil
@@ -254,11 +254,11 @@ func (r *Router) Len(ctx context.Context) (uint64, error) {
 	err := r.withReplan(ctx, func(m *Map) error {
 		total = 0
 		for _, s := range m.Shards {
-			res, err := r.transport.Invoke(ctx, s.Leader, KVServiceName, "len", LenReq{Epoch: m.Epoch})
+			n, err := core.Call[uint64](ctx, r.kv(s.Leader), "len", LenReq{Epoch: m.Epoch})
 			if err != nil {
 				return err
 			}
-			total += asUint64(res)
+			total += n
 		}
 		return nil
 	})
@@ -272,27 +272,6 @@ func mapNotFound(err error) error {
 		return sbdms.ErrKeyNotFound
 	}
 	return err
-}
-
-func asBytes(res any) []byte {
-	if b, ok := res.([]byte); ok {
-		return b
-	}
-	return nil
-}
-
-func asStrings(res any) []string {
-	if s, ok := res.([]string); ok {
-		return s
-	}
-	return nil
-}
-
-func asUint64(res any) uint64 {
-	if v, ok := res.(uint64); ok {
-		return v
-	}
-	return 0
 }
 
 // mergeSorted merges already-sorted per-shard key lists into the first

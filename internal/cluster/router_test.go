@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func testMap(epoch uint64, shards int) *Map {
@@ -257,5 +259,33 @@ func TestRouterReplanExhaustion(t *testing.T) {
 	}
 	if !errors.Is(err, ErrEpochChanged) {
 		t.Fatalf("exhaustion error not typed: %v", err)
+	}
+}
+
+// skewedNode answers every shard operation with a reply of the wrong
+// type, as a node running an incompatible version might.
+type skewedNode struct{}
+
+func (skewedNode) Invoke(context.Context, NodeID, string, string, any) (any, error) {
+	return "skewed", nil
+}
+
+func TestRouterRejectsMistypedReplies(t *testing.T) {
+	m := testMap(1, 2)
+	r := NewRouter(skewedNode{}, func(context.Context) (*Map, error) { return m.Clone(), nil })
+	ctx := context.Background()
+	_, getErr := r.Get(ctx, "k")
+	_, snapErr := r.GetSnapshot(ctx, "k")
+	_, lenErr := r.Len(ctx)
+	_, scanErr := r.ScanKeys(ctx, "", 10)
+	_, scanSnapErr := r.ScanKeysSnapshot(ctx, "", 10)
+	for op, err := range map[string]error{
+		"Get": getErr, "GetSnapshot": snapErr, "Len": lenErr, "ScanKeys": scanErr, "ScanKeysSnapshot": scanSnapErr,
+	} {
+		if err == nil {
+			t.Errorf("%s: mistyped reply accepted silently", op)
+		} else if !errors.Is(err, core.ErrReplyType) {
+			t.Errorf("%s: err = %v, want core.ErrReplyType", op, err)
+		}
 	}
 }

@@ -20,6 +20,19 @@ type Transport interface {
 	Invoke(ctx context.Context, node NodeID, service, op string, req any) (any, error)
 }
 
+// serviceAt addresses one service on one node through a Transport, as
+// a core.Invoker (so replies can be type-checked with core.Call).
+type serviceAt struct {
+	t       Transport
+	node    NodeID
+	service string
+}
+
+// Invoke implements core.Invoker.
+func (a serviceAt) Invoke(ctx context.Context, op string, req any) (any, error) {
+	return a.t.Invoke(ctx, a.node, a.service, op, req)
+}
+
 // Transport errors.
 var (
 	// ErrUnknownNode is returned for a node the transport has no route to.

@@ -75,11 +75,11 @@ type ReleaseResourcesRequest struct {
 
 // CoordStatus is the coordinator's status response.
 type CoordStatus struct {
-	ManagedRefs   int
-	RequiredIfcs  []string
-	AvoidedSvcs   []string
-	Adaptations   int
-	Switches      int
+	ManagedRefs  int
+	RequiredIfcs []string
+	AvoidedSvcs  []string
+	Adaptations  int
+	Switches     int
 }
 
 // NewCoordinator creates a coordinator bound to the kernel's registry,
@@ -114,11 +114,7 @@ func NewCoordinator(name string, cfg CoordinatorConfig, reg *Registry, repo *Rep
 		avoided:     make(map[string]bool),
 	}
 	WithPing(c.BaseService)
-	c.Handle(OpReleaseResources, func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(ReleaseResourcesRequest)
-		if !ok {
-			return nil, &RequestError{Op: OpReleaseResources, Want: "core.ReleaseResourcesRequest", Got: TypeName(req)}
-		}
+	Handle(c.BaseService, OpReleaseResources, func(ctx context.Context, r ReleaseResourcesRequest) (bool, error) {
 		if r.Restore {
 			c.Readmit(r.Service)
 		} else {
@@ -126,13 +122,7 @@ func NewCoordinator(name string, cfg CoordinatorConfig, reg *Registry, repo *Rep
 		}
 		return true, nil
 	})
-	c.Handle(OpRepair, func(ctx context.Context, req any) (any, error) {
-		iface, ok := req.(string)
-		if !ok {
-			return nil, &RequestError{Op: OpRepair, Want: "string", Got: TypeName(req)}
-		}
-		return c.Repair(ctx, iface)
-	})
+	Handle(c.BaseService, OpRepair, c.Repair)
 	c.Handle(OpCoordStatus, func(ctx context.Context, req any) (any, error) {
 		return c.Status(), nil
 	})

@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 )
@@ -84,5 +85,68 @@ func (e *RequestError) Error() string {
 	return fmt.Sprintf("core: operation %q expects %s, got %s", e.Op, e.Want, e.Got)
 }
 
-// As is used with errors.As via the standard mechanisms; nothing extra
-// is needed, the type itself is the target.
+// ErrReplyType is returned by Call when a reply payload is not of the
+// type the caller expects.
+var ErrReplyType = errors.New("core: mistyped reply")
+
+// Handle registers a typed handler for op on s, so the payload is
+// asserted once, here, rather than in every handler. A Req or a non-nil
+// *Req is accepted; on an operation whose spec declares In "nil", a nil
+// payload arrives as the zero Req. Any other payload is answered with a
+// *RequestError naming op and the In type of its spec.
+func Handle[Req, Resp any](s *BaseService, op string, fn func(ctx context.Context, req Req) (Resp, error)) *BaseService {
+	spec, _ := s.contract.Op(op)
+	return s.Handle(op, func(ctx context.Context, req any) (any, error) {
+		r, ok := payloadAs[Req](req)
+		if !ok && (req != nil || spec.In != "nil") {
+			return nil, &RequestError{Op: op, Want: spec.In, Got: TypeName(req)}
+		}
+		return fn(ctx, r)
+	})
+}
+
+// Call invokes op on inv and returns the reply as a Resp; a non-nil
+// *Resp reply is dereferenced. A reply of any other type is an
+// ErrReplyType error, never a silent zero value.
+func Call[Resp any](ctx context.Context, inv Invoker, op string, req any) (Resp, error) {
+	out, err := inv.Invoke(ctx, op, req)
+	if err != nil {
+		var zero Resp
+		return zero, err
+	}
+	r, ok := payloadAs[Resp](out)
+	if !ok {
+		return r, fmt.Errorf("%w: operation %q returned %s, want %s", ErrReplyType, op, TypeName(out), typeNameFor[Resp]())
+	}
+	return r, nil
+}
+
+// Transform wraps a typed payload conversion as a TransformFunc. A
+// payload that is neither a From nor a non-nil *From is an error, not a
+// panic.
+func Transform[From, To any](fn func(From) To) TransformFunc {
+	return func(v any) (any, error) {
+		r, ok := payloadAs[From](v)
+		if !ok {
+			return nil, fmt.Errorf("core: transform expects %s, got %s", typeNameFor[From](), TypeName(v))
+		}
+		return fn(r), nil
+	}
+}
+
+// payloadAs returns v as a T, dereferencing a non-nil *T.
+func payloadAs[T any](v any) (T, bool) {
+	switch t := v.(type) {
+	case T:
+		return t, true
+	case *T:
+		if t != nil {
+			return *t, true
+		}
+	}
+	var zero T
+	return zero, false
+}
+
+// typeNameFor is TypeNameOf for a static type.
+func typeNameFor[T any]() string { return TypeNameOf(reflect.TypeOf((*T)(nil)).Elem()) }

@@ -22,11 +22,7 @@ func echoContract(iface string) *Contract {
 func newEchoService(t testing.TB, name, iface string) *BaseService {
 	t.Helper()
 	s := NewService(name, echoContract(iface))
-	s.Handle("echo", func(ctx context.Context, req any) (any, error) {
-		str, ok := req.(string)
-		if !ok {
-			return nil, &RequestError{Op: "echo", Want: "string", Got: TypeName(req)}
-		}
+	Handle(s, "echo", func(ctx context.Context, str string) (string, error) {
 		return name + ":" + str, nil
 	})
 	s.Handle("fail", func(ctx context.Context, req any) (any, error) {
@@ -89,6 +85,92 @@ func TestServiceUnknownOp(t *testing.T) {
 	_, err := s.Invoke(context.Background(), "nosuch", nil)
 	if !errors.Is(err, ErrUnknownOp) {
 		t.Fatalf("err = %v, want ErrUnknownOp", err)
+	}
+}
+
+type typedReq struct{ N int }
+
+func TestHandleTypedPayloads(t *testing.T) {
+	ctx := context.Background()
+	s := NewService("typed", &Contract{
+		Interface: "test.Typed",
+		Operations: []OpSpec{
+			{Name: "double", In: "core.typedReq", Out: "int"},
+			{Name: "count", In: "nil", Out: "int"},
+		},
+	})
+	Handle(s, "double", func(ctx context.Context, r typedReq) (int, error) { return 2 * r.N, nil })
+	Handle(s, "count", func(ctx context.Context, _ struct{}) (int, error) { return 7, nil })
+	if err := s.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// A value and a pointer are both accepted and decoded once.
+	for _, req := range []any{typedReq{N: 3}, &typedReq{N: 3}} {
+		if got, err := Call[int](ctx, s, "double", req); err != nil || got != 6 {
+			t.Fatalf("double(%T) = %d, %v; want 6", req, got, err)
+		}
+	}
+	if got, err := Call[int](ctx, s, "count", nil); err != nil || got != 7 {
+		t.Fatalf("count(nil) = %d, %v; want 7", got, err)
+	}
+	// Anything else is a RequestError carrying the spec's In type,
+	// including a nil pointer and a payload sent to a nil-In op.
+	for _, c := range []struct {
+		op  string
+		req any
+		got string
+	}{
+		{"double", "3", "string"},
+		{"double", (*typedReq)(nil), "repro/internal/core.typedReq"},
+		{"double", nil, "nil"},
+		{"count", 1, "int"},
+	} {
+		_, err := s.Invoke(ctx, c.op, c.req)
+		var re *RequestError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s(%T): err = %v, want *RequestError", c.op, c.req, err)
+		}
+		spec, _ := s.Contract().Op(c.op)
+		if re.Op != c.op || re.Want != spec.In || re.Got != c.got {
+			t.Fatalf("%s(%T): got %+v, want {Op:%s Want:%s Got:%s}", c.op, c.req, re, c.op, spec.In, c.got)
+		}
+	}
+}
+
+func TestCallRejectsMistypedReply(t *testing.T) {
+	ctx := context.Background()
+	reply := func(v any) Invoker {
+		return InvokerFunc(func(context.Context, string, any) (any, error) { return v, nil })
+	}
+	if got, err := Call[[]byte](ctx, reply([]byte("v")), "get", nil); err != nil || string(got) != "v" {
+		t.Fatalf("Call = %q, %v", got, err)
+	}
+	n := uint64(4)
+	if got, err := Call[uint64](ctx, reply(&n), "len", nil); err != nil || got != 4 {
+		t.Fatalf("Call(*uint64) = %d, %v", got, err)
+	}
+	for _, v := range []any{nil, "v", (*[]byte)(nil)} {
+		if _, err := Call[[]byte](ctx, reply(v), "get", nil); !errors.Is(err, ErrReplyType) {
+			t.Fatalf("reply %T: err = %v, want ErrReplyType", v, err)
+		}
+	}
+	boom := errors.New("boom")
+	failing := InvokerFunc(func(context.Context, string, any) (any, error) { return []byte("x"), boom })
+	if got, err := Call[[]byte](ctx, failing, "get", nil); !errors.Is(err, boom) || got != nil {
+		t.Fatalf("Call on error = %q, %v; want nil, boom", got, err)
+	}
+}
+
+func TestTransformRejectsMistypedPayload(t *testing.T) {
+	f := Transform(func(r typedReq) int { return r.N + 1 })
+	if got, err := f(typedReq{N: 1}); err != nil || got != 2 {
+		t.Fatalf("f(typedReq) = %v, %v", got, err)
+	}
+	if got, err := f(&typedReq{N: 2}); err != nil || got != 3 {
+		t.Fatalf("f(*typedReq) = %v, %v", got, err)
+	}
+	if _, err := f("nope"); err == nil {
+		t.Fatal("mistyped payload converted without error")
 	}
 }
 

@@ -515,15 +515,7 @@ func (db *DB) Exec(ctx context.Context, query string) (*sql.Result, error) {
 	if db.opts.Granularity == Monolithic || db.queryRef == nil {
 		return db.engine.Execute(ctx, query)
 	}
-	out, err := db.queryRef.Invoke(ctx, "execute", query)
-	if err != nil {
-		return nil, err
-	}
-	res, ok := out.(*sql.Result)
-	if !ok {
-		return nil, fmt.Errorf("sbdms: query service returned %T", out)
-	}
-	return res, nil
+	return core.Call[*sql.Result](ctx, db.queryRef, "execute", query)
 }
 
 // Put stores a key-value pair through the configured service path.

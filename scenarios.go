@@ -313,30 +313,27 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 		Vs [][]byte
 	}
 	lsvc := core.NewService("legacy-store", legacyContract)
-	lsvc.Handle("fetch", func(ctx context.Context, req any) (any, error) { return legacy.Get(ctx, req.(string)) })
-	lsvc.Handle("store", func(ctx context.Context, req any) (any, error) {
-		p := req.(legacyPut)
+	core.Handle(lsvc, "fetch", legacy.Get)
+	core.Handle(lsvc, "store", func(ctx context.Context, p legacyPut) (bool, error) {
 		return true, legacy.Put(ctx, p.K, p.V)
 	})
-	lsvc.Handle("storeMany", func(ctx context.Context, req any) (any, error) {
-		p := req.(legacyBatch)
+	core.Handle(lsvc, "storeMany", func(ctx context.Context, p legacyBatch) (bool, error) {
 		return true, legacy.PutBatch(ctx, p.Ks, p.Vs)
 	})
-	lsvc.Handle("loadAll", func(ctx context.Context, req any) (any, error) {
-		p := req.(legacyBatch)
+	core.Handle(lsvc, "loadAll", func(ctx context.Context, p legacyBatch) (bool, error) {
 		return true, legacy.Import(ctx, p.Ks, p.Vs)
 	})
-	lsvc.Handle("remove", func(ctx context.Context, req any) (any, error) { return true, legacy.Delete(ctx, req.(string)) })
-	lsvc.Handle("list", func(ctx context.Context, req any) (any, error) {
-		p := req.(legacyScan)
+	core.Handle(lsvc, "remove", func(ctx context.Context, k string) (bool, error) {
+		return true, legacy.Delete(ctx, k)
+	})
+	core.Handle(lsvc, "list", func(ctx context.Context, p legacyScan) ([]string, error) {
 		return legacy.Scan(ctx, p.From, p.N)
 	})
-	lsvc.Handle("peek", func(ctx context.Context, req any) (any, error) { return legacy.Get(ctx, req.(string)) })
-	lsvc.Handle("listStable", func(ctx context.Context, req any) (any, error) {
-		p := req.(legacyScan)
+	core.Handle(lsvc, "peek", legacy.Get)
+	core.Handle(lsvc, "listStable", func(ctx context.Context, p legacyScan) ([]string, error) {
 		return legacy.Scan(ctx, p.From, p.N)
 	})
-	lsvc.Handle("size", func(ctx context.Context, req any) (any, error) { return legacy.Len(), nil })
+	core.Handle(lsvc, "size", func(ctx context.Context, _ struct{}) (uint64, error) { return legacy.Len(), nil })
 	core.WithPing(lsvc)
 	if err := db.deploy(ctx, lsvc, map[string]string{"legacy": "true"}); err != nil {
 		return res, err
@@ -344,22 +341,18 @@ func ScenarioAdaptation(ctx context.Context, db *DB, opsPerPhase int) (ScenarioR
 
 	// Transformation schemas bridging the payload shapes.
 	repo := db.kernel.Repository()
-	repo.PutTransform("sbdms.KVPutRequest", "sbdms.legacyPut", func(v any) (any, error) {
-		r := v.(KVPutRequest)
-		return legacyPut{K: r.Key, V: r.Val}, nil
-	})
-	repo.PutTransform("sbdms.KVScanRequest", "sbdms.legacyScan", func(v any) (any, error) {
-		r := v.(KVScanRequest)
-		return legacyScan{From: r.Key, N: r.N}, nil
-	})
-	repo.PutTransform("sbdms.KVBatchRequest", "sbdms.legacyBatch", func(v any) (any, error) {
-		r := v.(KVBatchRequest)
-		return legacyBatch{Ks: r.Keys, Vs: r.Vals}, nil
-	})
-	repo.PutTransform("sbdms.KVImportRequest", "sbdms.legacyBatch", func(v any) (any, error) {
-		r := v.(KVImportRequest)
-		return legacyBatch{Ks: r.Keys, Vs: r.Vals}, nil
-	})
+	repo.PutTransform("sbdms.KVPutRequest", "sbdms.legacyPut", core.Transform(func(r KVPutRequest) legacyPut {
+		return legacyPut{K: r.Key, V: r.Val}
+	}))
+	repo.PutTransform("sbdms.KVScanRequest", "sbdms.legacyScan", core.Transform(func(r KVScanRequest) legacyScan {
+		return legacyScan{From: r.Key, N: r.N}
+	}))
+	repo.PutTransform("sbdms.KVBatchRequest", "sbdms.legacyBatch", core.Transform(func(r KVBatchRequest) legacyBatch {
+		return legacyBatch{Ks: r.Keys, Vs: r.Vals}
+	}))
+	repo.PutTransform("sbdms.KVImportRequest", "sbdms.legacyBatch", core.Transform(func(r KVImportRequest) legacyBatch {
+		return legacyBatch{Ks: r.Keys, Vs: r.Vals}
+	}))
 
 	key := func(i int) string { return fmt.Sprintf("adp-%06d", i%256) }
 	run := func(phase *int64) {

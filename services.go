@@ -89,38 +89,26 @@ func DiskContract() *core.Contract {
 // NewDiskService exposes a storage.PageStore as a Disk storage service.
 func NewDiskService(name string, store storage.PageStore) *core.BaseService {
 	s := core.NewService(name, DiskContract())
-	s.Handle("allocate", func(ctx context.Context, req any) (any, error) {
+	core.Handle(s, "allocate", func(ctx context.Context, _ struct{}) (storage.PageID, error) {
 		return store.Allocate()
 	})
-	s.Handle("deallocate", func(ctx context.Context, req any) (any, error) {
-		id, ok := req.(storage.PageID)
-		if !ok {
-			return nil, &core.RequestError{Op: "deallocate", Want: "storage.PageID", Got: core.TypeName(req)}
-		}
+	core.Handle(s, "deallocate", func(ctx context.Context, id storage.PageID) (bool, error) {
 		return true, store.Deallocate(id)
 	})
-	s.Handle("readPage", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(PageReadRequest)
-		if !ok {
-			return nil, &core.RequestError{Op: "readPage", Want: "sbdms.PageReadRequest", Got: core.TypeName(req)}
-		}
+	core.Handle(s, "readPage", func(ctx context.Context, r PageReadRequest) ([]byte, error) {
 		buf := make([]byte, storage.PageSize)
 		if err := store.ReadPage(r.Page, buf); err != nil {
 			return nil, err
 		}
 		return buf, nil
 	})
-	s.Handle("writePage", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(PageWriteRequest)
-		if !ok {
-			return nil, &core.RequestError{Op: "writePage", Want: "sbdms.PageWriteRequest", Got: core.TypeName(req)}
-		}
+	core.Handle(s, "writePage", func(ctx context.Context, r PageWriteRequest) (bool, error) {
 		return true, store.WritePage(r.Page, r.Data)
 	})
-	s.Handle("numPages", func(ctx context.Context, req any) (any, error) {
+	core.Handle(s, "numPages", func(ctx context.Context, _ struct{}) (uint64, error) {
 		return store.NumPages(), nil
 	})
-	s.Handle("sync", func(ctx context.Context, req any) (any, error) {
+	core.Handle(s, "sync", func(ctx context.Context, _ struct{}) (bool, error) {
 		return true, store.Sync()
 	})
 	return core.WithPing(s)
@@ -144,15 +132,7 @@ var bg = context.Background()
 
 // Allocate implements storage.PageStore.
 func (c *PageStoreClient) Allocate() (storage.PageID, error) {
-	out, err := c.inv.Invoke(bg, "allocate", nil)
-	if err != nil {
-		return storage.InvalidPageID, err
-	}
-	id, ok := out.(storage.PageID)
-	if !ok {
-		return storage.InvalidPageID, fmt.Errorf("sbdms: allocate returned %T", out)
-	}
-	return id, nil
+	return core.Call[storage.PageID](bg, c.inv, "allocate", nil)
 }
 
 // Deallocate implements storage.PageStore.
@@ -163,13 +143,12 @@ func (c *PageStoreClient) Deallocate(id storage.PageID) error {
 
 // ReadPage implements storage.PageStore.
 func (c *PageStoreClient) ReadPage(id storage.PageID, buf []byte) error {
-	out, err := c.inv.Invoke(bg, "readPage", PageReadRequest{Page: id})
+	b, err := core.Call[[]byte](bg, c.inv, "readPage", PageReadRequest{Page: id})
 	if err != nil {
 		return err
 	}
-	b, ok := out.([]byte)
-	if !ok || len(b) != storage.PageSize {
-		return fmt.Errorf("sbdms: readPage returned %T (%d bytes)", out, len(b))
+	if len(b) != storage.PageSize {
+		return fmt.Errorf("sbdms: readPage returned %d bytes, want %d", len(b), storage.PageSize)
 	}
 	copy(buf, b)
 	return nil
@@ -183,11 +162,7 @@ func (c *PageStoreClient) WritePage(id storage.PageID, data []byte) error {
 
 // NumPages implements storage.PageStore.
 func (c *PageStoreClient) NumPages() uint64 {
-	out, err := c.inv.Invoke(bg, "numPages", nil)
-	if err != nil {
-		return 0
-	}
-	n, _ := out.(uint64)
+	n, _ := core.Call[uint64](bg, c.inv, "numPages", nil)
 	return n
 }
 
@@ -199,31 +174,124 @@ func (c *PageStoreClient) Sync() error {
 
 // --- KV service: Access Service over records and index ----------------
 
+// kvOp is one row of the KV op table: its contract entry, and bind,
+// which registers the op's typed handler on a service over a backend.
+type kvOp struct {
+	spec core.OpSpec
+	bind func(s *core.BaseService, op string, b kvBackend)
+}
+
+// kvOps is the KV op table, the one definition of each KV operation.
+// KVContract, RecordContract and EnvelopedKVContract take their
+// operations from it, and NewKVService and NewRecordService their
+// handlers. Adding an operation means a row here, the backend method
+// and a one-line KVClient method.
+var kvOps = []kvOp{
+	{core.OpSpec{Name: "get", In: "string", Out: "[]byte", Semantic: "kv.get"},
+		func(s *core.BaseService, op string, b kvBackend) { core.Handle(s, op, b.Get) }},
+	{core.OpSpec{Name: "put", In: "sbdms.KVPutRequest", Out: "bool", Semantic: "kv.put"},
+		func(s *core.BaseService, op string, b kvBackend) {
+			core.Handle(s, op, func(ctx context.Context, r KVPutRequest) (bool, error) {
+				return true, b.Put(ctx, r.Key, r.Val)
+			})
+		}},
+	{core.OpSpec{Name: "putBatch", In: "sbdms.KVBatchRequest", Out: "bool", Semantic: "kv.putBatch"},
+		func(s *core.BaseService, op string, b kvBackend) {
+			core.Handle(s, op, func(ctx context.Context, r KVBatchRequest) (bool, error) {
+				return true, b.PutBatch(ctx, r.Keys, r.Vals)
+			})
+		}},
+	// Import is the bulk-ingest path: the batch is sorted and loaded as
+	// one transaction at one commit timestamp, through the bottom-up
+	// tree build when the store is empty.
+	{core.OpSpec{Name: "import", In: "sbdms.KVImportRequest", Out: "bool", Semantic: "kv.import"},
+		func(s *core.BaseService, op string, b kvBackend) {
+			core.Handle(s, op, func(ctx context.Context, r KVImportRequest) (bool, error) {
+				return true, b.Import(ctx, r.Keys, r.Vals)
+			})
+		}},
+	{core.OpSpec{Name: "delete", In: "string", Out: "bool", Semantic: "kv.delete"},
+		func(s *core.BaseService, op string, b kvBackend) {
+			core.Handle(s, op, func(ctx context.Context, k string) (bool, error) {
+				return true, b.Delete(ctx, k)
+			})
+		}},
+	// Scan honours the engine's configured ScanIsolation: at
+	// serializable the result is an atomic (phantom-free) snapshot; at
+	// read-committed it is a best-effort view.
+	{core.OpSpec{Name: "scan", In: "sbdms.KVScanRequest", Out: "[]string", Semantic: "kv.scan"},
+		func(s *core.BaseService, op string, b kvBackend) {
+			core.Handle(s, op, func(ctx context.Context, r KVScanRequest) ([]string, error) {
+				return b.Scan(ctx, r.Key, r.N)
+			})
+		}},
+	// The snapshot variants read one consistent MVCC cut without taking
+	// key locks, at any configured ScanIsolation.
+	{core.OpSpec{Name: "getSnapshot", In: "string", Out: "[]byte", Semantic: "kv.getSnapshot"},
+		func(s *core.BaseService, op string, b kvBackend) { core.Handle(s, op, b.GetSnapshot) }},
+	{core.OpSpec{Name: "scanSnapshot", In: "sbdms.KVScanRequest", Out: "[]string", Semantic: "kv.scanSnapshot"},
+		func(s *core.BaseService, op string, b kvBackend) {
+			core.Handle(s, op, func(ctx context.Context, r KVScanRequest) ([]string, error) {
+				return b.ScanKeysSnapshot(ctx, r.Key, r.N)
+			})
+		}},
+	{core.OpSpec{Name: "len", In: "nil", Out: "uint64", Semantic: "kv.len"},
+		func(s *core.BaseService, op string, b kvBackend) {
+			core.Handle(s, op, func(ctx context.Context, _ struct{}) (uint64, error) { return b.Len(), nil })
+		}},
+}
+
+// kvSpecs returns the op table's contract entries. A non-nil envelope
+// renames each request type to the type that wraps it.
+func kvSpecs(envelope map[string]string) []core.OpSpec {
+	ops := make([]core.OpSpec, len(kvOps))
+	for i, op := range kvOps {
+		ops[i] = op.spec
+		if envelope == nil {
+			continue
+		}
+		in, ok := envelope[op.spec.In]
+		if !ok {
+			panic(fmt.Sprintf("sbdms: no envelope for %s, the request of KV operation %q", op.spec.In, op.spec.Name))
+		}
+		ops[i].In = in
+	}
+	return ops
+}
+
 // KVContract describes the key-value access service interface.
 func KVContract() *core.Contract {
 	return &core.Contract{
-		Interface: IfaceKV,
-		Operations: []core.OpSpec{
-			{Name: "get", In: "string", Out: "[]byte", Semantic: "kv.get"},
-			{Name: "put", In: "sbdms.KVPutRequest", Out: "bool", Semantic: "kv.put"},
-			{Name: "putBatch", In: "sbdms.KVBatchRequest", Out: "bool", Semantic: "kv.putBatch"},
-			// Import is the bulk-ingest path: the batch is sorted and
-			// loaded as one transaction at one commit timestamp, through
-			// the bottom-up tree build when the store is empty.
-			{Name: "import", In: "sbdms.KVImportRequest", Out: "bool", Semantic: "kv.import"},
-			{Name: "delete", In: "string", Out: "bool", Semantic: "kv.delete"},
-			// Scan honours the engine's configured ScanIsolation: at
-			// serializable the result is an atomic (phantom-free)
-			// snapshot; at read-committed it is a best-effort view.
-			{Name: "scan", In: "sbdms.KVScanRequest", Out: "[]string", Semantic: "kv.scan"},
-			// The snapshot variants read one consistent MVCC cut without
-			// taking key locks, at any configured ScanIsolation.
-			{Name: "getSnapshot", In: "string", Out: "[]byte", Semantic: "kv.getSnapshot"},
-			{Name: "scanSnapshot", In: "sbdms.KVScanRequest", Out: "[]string", Semantic: "kv.scanSnapshot"},
-			{Name: "len", In: "nil", Out: "uint64", Semantic: "kv.len"},
-		},
+		Interface:   IfaceKV,
+		Operations:  kvSpecs(nil),
 		Description: core.Description{Summary: "record-level key-value access over heap and B+tree"},
 		Quality:     core.Quality{LatencyClass: "disk", Availability: 0.999, CostFactor: 1},
+	}
+}
+
+// RecordContract is the record-level access interface (the middle hop
+// of the layered and fine profiles). It is operationally identical to
+// the KV contract but registered under its own interface name so that
+// the two layers are distinct architectural services.
+func RecordContract() *core.Contract {
+	c := KVContract()
+	c.Interface = IfaceRecord
+	c.Description.Summary = "record manager over heap file and index"
+	return c
+}
+
+// EnvelopedKVContract derives a contract from the KV op table for a
+// service whose requests wrap the KV ones: envelope maps each KV request
+// type to the contract name of its wrapper (e.g. one adding a shard-map
+// epoch). Operation names, replies and semantic tags stay the KV ones,
+// so GenerateAdaptor bridges IfaceKV callers onto the service given one
+// transform per KV request type. It panics when a KV request type has
+// no envelope.
+func EnvelopedKVContract(iface, summary string, envelope map[string]string) *core.Contract {
+	return &core.Contract{
+		Interface:   iface,
+		Operations:  kvSpecs(envelope),
+		Description: core.Description{Summary: summary},
 	}
 }
 
@@ -245,69 +313,25 @@ type kvBackend interface {
 	Len() uint64
 }
 
+// newKVService registers every op of the table on a service with
+// contract c, delegating to backend.
+func newKVService(name string, c *core.Contract, backend kvBackend) *core.BaseService {
+	s := core.NewService(name, c)
+	for _, op := range kvOps {
+		op.bind(s, op.spec.Name, backend)
+	}
+	return core.WithPing(s)
+}
+
 // NewKVService exposes a KV backend as an Access service.
 func NewKVService(name string, backend kvBackend) *core.BaseService {
-	s := core.NewService(name, KVContract())
-	s.Handle("get", func(ctx context.Context, req any) (any, error) {
-		k, ok := req.(string)
-		if !ok {
-			return nil, &core.RequestError{Op: "get", Want: "string", Got: core.TypeName(req)}
-		}
-		return backend.Get(ctx, k)
-	})
-	s.Handle("put", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(KVPutRequest)
-		if !ok {
-			return nil, &core.RequestError{Op: "put", Want: "sbdms.KVPutRequest", Got: core.TypeName(req)}
-		}
-		return true, backend.Put(ctx, r.Key, r.Val)
-	})
-	s.Handle("putBatch", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(KVBatchRequest)
-		if !ok {
-			return nil, &core.RequestError{Op: "putBatch", Want: "sbdms.KVBatchRequest", Got: core.TypeName(req)}
-		}
-		return true, backend.PutBatch(ctx, r.Keys, r.Vals)
-	})
-	s.Handle("import", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(KVImportRequest)
-		if !ok {
-			return nil, &core.RequestError{Op: "import", Want: "sbdms.KVImportRequest", Got: core.TypeName(req)}
-		}
-		return true, backend.Import(ctx, r.Keys, r.Vals)
-	})
-	s.Handle("delete", func(ctx context.Context, req any) (any, error) {
-		k, ok := req.(string)
-		if !ok {
-			return nil, &core.RequestError{Op: "delete", Want: "string", Got: core.TypeName(req)}
-		}
-		return true, backend.Delete(ctx, k)
-	})
-	s.Handle("scan", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(KVScanRequest)
-		if !ok {
-			return nil, &core.RequestError{Op: "scan", Want: "sbdms.KVScanRequest", Got: core.TypeName(req)}
-		}
-		return backend.Scan(ctx, r.Key, r.N)
-	})
-	s.Handle("getSnapshot", func(ctx context.Context, req any) (any, error) {
-		k, ok := req.(string)
-		if !ok {
-			return nil, &core.RequestError{Op: "getSnapshot", Want: "string", Got: core.TypeName(req)}
-		}
-		return backend.GetSnapshot(ctx, k)
-	})
-	s.Handle("scanSnapshot", func(ctx context.Context, req any) (any, error) {
-		r, ok := req.(KVScanRequest)
-		if !ok {
-			return nil, &core.RequestError{Op: "scanSnapshot", Want: "sbdms.KVScanRequest", Got: core.TypeName(req)}
-		}
-		return backend.ScanKeysSnapshot(ctx, r.Key, r.N)
-	})
-	s.Handle("len", func(ctx context.Context, req any) (any, error) {
-		return backend.Len(), nil
-	})
-	return core.WithPing(s)
+	return newKVService(name, KVContract(), backend)
+}
+
+// NewRecordService exposes a KV backend (the native core) under the
+// Record interface.
+func NewRecordService(name string, backend kvBackend) *core.BaseService {
+	return newKVService(name, RecordContract(), backend)
 }
 
 // KVClient adapts an Invoker providing the KV interface back into a
@@ -338,15 +362,7 @@ func (c *KVClient) Import(ctx context.Context, keys []string, vals [][]byte) err
 
 // Get implements kvBackend.
 func (c *KVClient) Get(ctx context.Context, k string) ([]byte, error) {
-	out, err := c.inv.Invoke(ctx, "get", k)
-	if err != nil {
-		return nil, err
-	}
-	b, ok := out.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("sbdms: get returned %T", out)
-	}
-	return b, nil
+	return core.Call[[]byte](ctx, c.inv, "get", k)
 }
 
 // Delete implements kvBackend.
@@ -357,79 +373,23 @@ func (c *KVClient) Delete(ctx context.Context, k string) error {
 
 // Scan implements kvBackend.
 func (c *KVClient) Scan(ctx context.Context, from string, n int) ([]string, error) {
-	out, err := c.inv.Invoke(ctx, "scan", KVScanRequest{Key: from, N: n})
-	if err != nil {
-		return nil, err
-	}
-	ks, ok := out.([]string)
-	if !ok {
-		return nil, fmt.Errorf("sbdms: scan returned %T", out)
-	}
-	return ks, nil
+	return core.Call[[]string](ctx, c.inv, "scan", KVScanRequest{Key: from, N: n})
 }
 
 // GetSnapshot implements kvBackend.
 func (c *KVClient) GetSnapshot(ctx context.Context, k string) ([]byte, error) {
-	out, err := c.inv.Invoke(ctx, "getSnapshot", k)
-	if err != nil {
-		return nil, err
-	}
-	b, ok := out.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("sbdms: getSnapshot returned %T", out)
-	}
-	return b, nil
+	return core.Call[[]byte](ctx, c.inv, "getSnapshot", k)
 }
 
 // ScanKeysSnapshot implements kvBackend.
 func (c *KVClient) ScanKeysSnapshot(ctx context.Context, from string, n int) ([]string, error) {
-	out, err := c.inv.Invoke(ctx, "scanSnapshot", KVScanRequest{Key: from, N: n})
-	if err != nil {
-		return nil, err
-	}
-	ks, ok := out.([]string)
-	if !ok {
-		return nil, fmt.Errorf("sbdms: scanSnapshot returned %T", out)
-	}
-	return ks, nil
+	return core.Call[[]string](ctx, c.inv, "scanSnapshot", KVScanRequest{Key: from, N: n})
 }
 
 // Len implements kvBackend.
 func (c *KVClient) Len() uint64 {
-	out, err := c.inv.Invoke(bg, "len", nil)
-	if err != nil {
-		return 0
-	}
-	n, _ := out.(uint64)
+	n, _ := core.Call[uint64](bg, c.inv, "len", nil)
 	return n
-}
-
-// RecordContract is the record-level access interface (the middle hop
-// of the layered and fine profiles). It is operationally identical to
-// the KV contract but registered under its own interface name so that
-// the two layers are distinct architectural services.
-func RecordContract() *core.Contract {
-	c := KVContract()
-	c.Interface = IfaceRecord
-	c.Description.Summary = "record manager over heap file and index"
-	return c
-}
-
-// NewRecordService exposes the native KV core under the Record
-// interface.
-func NewRecordService(name string, backend kvBackend) *core.BaseService {
-	s := core.NewService(name, RecordContract())
-	inner := NewKVService(name+"-inner", backend)
-	// Delegate every op to the same handlers as a KV service.
-	for _, op := range []string{"get", "put", "putBatch", "import", "delete", "scan", "getSnapshot", "scanSnapshot", "len"} {
-		op := op
-		s.Handle(op, func(ctx context.Context, req any) (any, error) {
-			return inner.Invoke(ctx, op, req)
-		})
-	}
-	s.OnStart(func(ctx context.Context) error { return inner.Start(ctx) })
-	s.OnStop(func(ctx context.Context) error { return inner.Stop(ctx) })
-	return core.WithPing(s)
 }
 
 // --- Query service: Data Service --------------------------------------
@@ -449,12 +409,6 @@ func QueryContract() *core.Contract {
 // NewQueryService exposes a SQL engine as the Data Service.
 func NewQueryService(name string, engine *sql.Engine) *core.BaseService {
 	s := core.NewService(name, QueryContract())
-	s.Handle("execute", func(ctx context.Context, req any) (any, error) {
-		q, ok := req.(string)
-		if !ok {
-			return nil, &core.RequestError{Op: "execute", Want: "string", Got: core.TypeName(req)}
-		}
-		return engine.Execute(ctx, q)
-	})
+	core.Handle(s, "execute", engine.Execute)
 	return core.WithPing(s)
 }
